@@ -11,16 +11,12 @@ CI runners, tight enough to catch a real hot-path regression.
 Three further checks ride along:
 
 * **Throughput floors** — benchmarks listed in ``MIN_EVENTS_PER_SECOND`` must
-  report at least that many ``events_per_second``.  Floors only apply when
-  the benchmark run had the columnar numpy backend available (the
-  ``columnar`` flag in BENCH_engine.json); without numpy the engine degrades
-  to the classic log and absolute throughput is not a contract.
+  report at least that many ``events_per_second``.
 * **Peak RSS** (``--check-rss``) — runs the high-rate Grid workload twice in
   subprocesses, once on the columnar log and once on the classic
   pooled-object log, and fails when the columnar run's peak RSS exceeds the
   classic run's by more than ``--rss-tolerance``.  The columnar backend must
-  not buy its speed with memory.  Skipped (with a notice) when numpy is
-  unavailable.
+  not buy its speed with memory.
 * **Telemetry overhead** (``--check-telemetry-overhead``) — runs the Grid
   surge elastic scenario in paired subprocesses, telemetry off and on,
   interleaved on the same machine, and fails when the telemetry-on wall time
@@ -44,7 +40,7 @@ HERE = Path(__file__).resolve().parent
 DEFAULT_CURRENT = HERE.parent / "results" / "BENCH_engine.json"
 DEFAULT_BASELINE = HERE / "perf_baseline.json"
 
-#: Absolute throughput contracts (events/s), enforced only on columnar runs.
+#: Absolute throughput contracts (events/s).
 #: The acked floor is deliberately lower than the unacked one: every tuple
 #: tree adds register/anchor/ack bookkeeping the cascade folds in bulk.
 MIN_EVENTS_PER_SECOND = {
@@ -82,7 +78,6 @@ sim.run(until=60.0)
 print(json.dumps({
     "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     "receipts": len(runtime.log.sink_receipts),
-    "columnar": type(runtime.log).__name__,
 }))
 """
 
@@ -157,16 +152,8 @@ def check_telemetry_overhead(tolerance: float, rounds: int = 3) -> list:
 
 def check_rss(tolerance: float) -> list:
     """Columnar peak RSS must not exceed the pooled-object baseline's."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        print("\npeak-RSS check skipped: numpy unavailable, columnar backend inert")
-        return []
     classic = _run_rss_probe("classic")
     columnar = _run_rss_probe("columnar")
-    if columnar["columnar"] != "ColumnarEventLog":
-        print("\npeak-RSS check skipped: columnar backend did not engage")
-        return []
     ratio = columnar["peak_rss_kb"] / classic["peak_rss_kb"]
     print(f"\npeak RSS (60 s, 100x-rate Grid): classic {classic['peak_rss_kb']} KB, "
           f"columnar {columnar['peak_rss_kb']} KB ({ratio:.2f}x, "
@@ -209,7 +196,6 @@ def main() -> int:
 
     payload = json.loads(args.current.read_text(encoding="utf-8"))
     current = payload["benchmarks"]
-    columnar_run = bool(payload.get("columnar"))
     baseline = json.loads(args.baseline.read_text(encoding="utf-8"))["benchmarks"]
 
     failures = []
@@ -227,20 +213,17 @@ def main() -> int:
         if ratio > args.threshold:
             failures.append(f"{name}: {ratio:.2f}x slower than baseline (threshold {args.threshold}x)")
 
-    if columnar_run:
-        for name, floor in sorted(MIN_EVENTS_PER_SECOND.items()):
-            entry = current.get(name)
-            if entry is None:
-                continue  # already reported as MISSING above
-            evps = entry.get("events_per_second")
-            if evps is None:
-                failures.append(f"{name}: no events_per_second recorded (floor {floor:,.0f})")
-            elif evps < floor:
-                failures.append(f"{name}: {evps:,.0f} events/s below floor {floor:,.0f}")
-            else:
-                print(f"\n{name}: {evps:,.0f} events/s (floor {floor:,.0f})")
-    else:
-        print("\nthroughput floors skipped: benchmark run had no columnar backend")
+    for name, floor in sorted(MIN_EVENTS_PER_SECOND.items()):
+        entry = current.get(name)
+        if entry is None:
+            continue  # already reported as MISSING above
+        evps = entry.get("events_per_second")
+        if evps is None:
+            failures.append(f"{name}: no events_per_second recorded (floor {floor:,.0f})")
+        elif evps < floor:
+            failures.append(f"{name}: {evps:,.0f} events/s below floor {floor:,.0f}")
+        else:
+            print(f"\n{name}: {evps:,.0f} events/s (floor {floor:,.0f})")
 
     if args.check_rss:
         failures.extend(check_rss(args.rss_tolerance))

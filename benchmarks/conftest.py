@@ -83,17 +83,9 @@ def write_bench_engine_json() -> Path:
             entry["baseline_mean_s"] = base["mean_s"]
             entry["speedup_vs_seed"] = round(base["mean_s"] / stats["mean_s"], 3)
         benchmarks[name] = entry
-    try:  # whether the columnar numpy log backend was live during this run —
-        from repro.metrics.log import HAVE_COLUMNAR  # the gate's throughput
-    except Exception:  # floors only apply when it was
-        HAVE_COLUMNAR = False
     from repro.metrics.metadata import run_metadata
 
-    payload = run_metadata(
-        "repro-bench-engine/1",
-        columnar=bool(HAVE_COLUMNAR),
-        benchmarks=benchmarks,
-    )
+    payload = run_metadata("repro-bench-engine/1", benchmarks=benchmarks)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     BENCH_ENGINE_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     return BENCH_ENGINE_PATH
@@ -112,8 +104,13 @@ def engine_bench_recorder():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Persist the engine benchmark trajectory once the session is over."""
-    if _ENGINE_BENCH_RESULTS:
+    """Persist the engine benchmark trajectory once the session is over.
+
+    Only a ``--benchmark-only`` session (the dedicated benchmark run) writes
+    it: an ordinary test run also times the engine benchmarks, but its
+    machine-specific numbers must not overwrite the committed file.
+    """
+    if _ENGINE_BENCH_RESULTS and session.config.getoption("benchmark_only", False):
         path = write_bench_engine_json()
         print(f"\n[engine benchmarks written to {path}]")
 
@@ -148,7 +145,7 @@ def matrix() -> ExperimentMatrix:
     try:
         jobs: Optional[int] = int(raw) if raw is not None else None
     except ValueError:
-        jobs = None  # invalid value = auto, mirroring REPRO_SIM_SHARDS
+        jobs = None  # invalid value = auto
     if jobs is not None:
         if jobs > 1:
             shared.prefetch(processes=jobs)

@@ -256,8 +256,6 @@ def test_grid_steady_state_columnar_cost(benchmark, engine_bench_recorder):
     *seed* engine measured on this exact workload, so ``speedup_vs_seed`` in
     ``BENCH_engine.json`` is the columnar headline and ``events_per_second``
     the absolute throughput figure the regression gate floors at 1M ev/s.
-    Without numpy ``columnar_log`` degrades to the classic log and the gate
-    skips the throughput floor.
     """
     counts = {}
 
@@ -323,30 +321,6 @@ def test_grid_steady_state_acked_cost(benchmark, engine_bench_recorder):
     receipts = benchmark.pedantic(simulate, rounds=5, iterations=1, warmup_rounds=1)
     assert receipts > 20_000
     engine_bench_recorder("grid_steady_state_acked", benchmark, events=counts["events"])
-
-
-def test_shard_scaling_cost(benchmark, engine_bench_recorder):
-    """Wall-clock cost of a 4-shard partition-parallel Grid run (pool of 4).
-
-    Covers the whole sharded path: per-shard hermetic simulation in worker
-    processes, result pickling and the deterministic merge.  The committed
-    baseline was recorded alongside the feature (the seed had no sharded
-    mode), so the gate guards the sharding machinery itself.
-    """
-    from repro.experiments.sharded import run_sharded_experiment
-
-    counts = {}
-
-    def simulate():
-        result = run_sharded_experiment(
-            dag="grid", shards=4, workers=4, duration_s=10.0, seed=2018
-        )
-        counts["events"] = len(result.log.source_emits) + len(result.log.sink_receipts)
-        return len(result.log.sink_receipts)
-
-    receipts = benchmark.pedantic(simulate, rounds=5, iterations=1, warmup_rounds=1)
-    assert receipts > 200
-    engine_bench_recorder("shard_scaling", benchmark, events=counts["events"])
 
 
 def _sink_drain_runtime(batch_max: int) -> TopologyRuntime:

@@ -8,7 +8,6 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
     python -m repro rescale --dag grid --strategy ccr --surge 2.0
     python -m repro predict --dag grid --profile surge --slo 30
     python -m repro multi --dags traffic,grid --strategy ccr
-    python -m repro shard --dag grid --shards 4 --workers 2
     python -m repro chaos --dag grid-keyed --strategy dsm --storms 3
     python -m repro trace elastic --dag grid
     python -m repro figure table1
@@ -31,7 +30,7 @@ storm at the fleet and compares notice-aware draining against oblivious
 unplanned recovery on restore latency, replays and the bill; ``trace`` runs
 one scenario with full telemetry and exports its control-plane trace
 (schema-versioned JSONL plus a Perfetto-loadable Chrome trace; the same
-export rides ``--trace`` on elastic/predict/chaos/multi/shard); ``figure``
+export rides ``--trace`` on elastic/predict/chaos/multi); ``figure``
 regenerates one of the paper's
 tables/figures (the same drivers the benchmark harness uses, ``--jobs N``
 fans the experiment matrix out across processes) and prints the reproduced
@@ -57,8 +56,6 @@ from repro.experiments import (
     run_multi_experiment,
     run_predictive_experiment,
     run_rescale_experiment,
-    run_sharded_elastic_experiment,
-    run_sharded_experiment,
 )
 from repro.experiments.chaos import DEFAULT_MODES
 from repro.experiments.figures import (
@@ -160,40 +157,6 @@ def _multi_telemetry(result, duration_s: float):
     for name in sorted(shared.tenants):
         telemetry.record_actions(shared.tenants[name].actions, now=duration_s, tenant=name)
     telemetry.record_arbiter(shared.manager.arbiter)
-    return telemetry
-
-
-def _shard_telemetry(result, dag: str, strategy: str, shards: int, elastic: bool):
-    """Synthesize a sharded-run trace from per-shard summaries + planned actions."""
-    from repro.obs import Telemetry
-
-    telemetry = Telemetry()
-    telemetry.meta.update(
-        scenario="shard",
-        dag=dag,
-        strategy=strategy,
-        shards=shards,
-        workers=result.workers,
-        digest=result.digest,
-    )
-    for res in result.results:
-        for key in ("source_emits", "sink_receipts", "distinct_roots_received"):
-            telemetry.registry.counter("shard", key, shard=str(res.index)).set_total(
-                int(res.summary.get(key, 0))
-            )
-    if elastic:
-        for action in result.actions:
-            telemetry.tracer.emit(
-                f"plan.{action.direction}",
-                "plan",
-                action.decided_at,
-                action.decided_at,
-                direction=action.direction,
-                from_tier=action.from_tier,
-                to_tier=action.to_tier,
-                observed_rate_ev_s=action.observed_rate,
-                vm_counts={name: count for name, count in action.vm_counts},
-            )
     return telemetry
 
 
@@ -477,75 +440,6 @@ def _cmd_multi(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_shard(args: argparse.Namespace) -> int:
-    if args.shards < 1:
-        print("repro shard: error: --shards must be >= 1", file=sys.stderr)
-        return 2
-    if args.elastic:
-        result = run_sharded_elastic_experiment(
-            dag=args.dag,
-            shards=args.shards,
-            workers=args.workers,
-            duration_s=args.duration,
-            seed=args.seed,
-            strategy=args.strategy,
-            profile=args.profile,
-            batch_stepping=not args.classic,
-        )
-        print(f"Sharded elastic run: {args.dag} / {args.strategy} / {args.profile} / "
-              f"{args.shards} shards x {args.duration:.0f}s on {result.workers} worker(s)")
-    else:
-        result = run_sharded_experiment(
-            dag=args.dag,
-            shards=args.shards,
-            workers=args.workers,
-            duration_s=args.duration,
-            seed=args.seed,
-            strategy=args.strategy,
-            batch_stepping=not args.classic,
-        )
-        print(f"Sharded run: {args.dag} / {args.strategy} / {args.shards} shards "
-              f"x {args.duration:.0f}s on {result.workers} worker(s)")
-    print()
-    rows = [
-        {
-            "shard": res.index,
-            "emits": int(res.summary.get("source_emits", 0)),
-            "receipts": int(res.summary.get("sink_receipts", 0)),
-            "roots_received": int(res.summary.get("distinct_roots_received", 0)),
-        }
-        for res in result.results
-    ]
-    print(format_table(rows, title="Per-shard summaries"))
-    print()
-    print(format_table([result.log.summary()], title="Merged log (worker-count invariant)"))
-    if args.elastic:
-        print()
-        if result.actions:
-            action_rows = [
-                {
-                    "decided_at": f"{action.decided_at:.1f}",
-                    "direction": action.direction,
-                    "tier": f"{action.from_tier} -> {action.to_tier}",
-                    "observed_ev_s": f"{action.observed_rate:.2f}",
-                    "vms": ", ".join(f"{name} x{count}" for name, count in action.vm_counts),
-                }
-                for action in result.actions
-            ]
-            print(format_table(
-                action_rows, title="Planned scaling actions (centralized controller tick)"
-            ))
-        else:
-            print("Planned scaling actions: none (offered rate stayed in band)")
-    print(f"\nmerged log digest: {result.digest}")
-    if args.trace:
-        _export_trace(
-            _shard_telemetry(result, args.dag, args.strategy, args.shards, args.elastic),
-            args.trace,
-        )
-    return 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.duration <= 0:
         print("repro chaos: error: --duration must be positive", file=sys.stderr)
@@ -611,9 +505,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Run one scenario with full telemetry and export its trace."""
     scenario = args.scenario
     out = args.out or f"results/TRACE_{scenario}.jsonl"
-    duration = args.duration if args.duration is not None else (
-        120.0 if scenario == "shard" else 600.0
-    )
+    duration = args.duration if args.duration is not None else 600.0
     if duration <= 0:
         print("repro trace: error: --duration must be positive", file=sys.stderr)
         return 2
@@ -661,21 +553,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             include_private_baseline=False,
         )
         _export_trace(_multi_telemetry(result, duration), out)
-    else:  # shard
-        shards = 4
-        result = run_sharded_elastic_experiment(
-            dag=args.dag or "grid",
-            shards=shards,
-            duration_s=duration,
-            seed=args.seed,
-            strategy=args.strategy or "dcr",
-            profile=args.profile,
-        )
-        _export_trace(
-            _shard_telemetry(result, args.dag or "grid", args.strategy or "dcr",
-                             shards, elastic=True),
-            out,
-        )
     return 0
 
 
@@ -855,32 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_flag(multi, "multi")
     multi.set_defaults(func=_cmd_multi)
 
-    shard = sub.add_parser(
-        "shard",
-        help="run a steady-state experiment partitioned across a process pool",
-    )
-    shard.add_argument("--dag", default="grid", choices=sorted(topologies.ALL_TOPOLOGIES))
-    shard.add_argument("--strategy", default="dcr", choices=("dsm", "dcr", "ccr"))
-    shard.add_argument("--shards", type=int, default=4,
-                       help="number of key partitions (one hermetic simulation each)")
-    shard.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: $REPRO_SIM_SHARDS, else one per "
-                            "shard capped at the CPU count; the merged log is identical "
-                            "for every value)")
-    shard.add_argument("--duration", type=float, default=60.0,
-                       help="simulated duration of each shard (seconds)")
-    shard.add_argument("--classic", action="store_true",
-                       help="disable the batch-stepping cascade inside each shard")
-    shard.add_argument("--elastic", action="store_true",
-                       help="profile-driven run with per-shard monitors and a "
-                            "centralized controller tick over the merged samples "
-                            "(planned scaling actions, worker-count invariant)")
-    shard.add_argument("--profile", default="surge",
-                       help="rate-profile preset for --elastic runs (default: surge)")
-    shard.add_argument("--seed", type=int, default=2018)
-    _add_trace_flag(shard, "shard")
-    shard.set_defaults(func=_cmd_shard)
-
     chaos = sub.add_parser(
         "chaos",
         help="ride a spot-eviction storm with notice-aware vs oblivious recovery",
@@ -911,17 +762,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one scenario with full telemetry and export its trace "
              "(JSONL + Perfetto-loadable Chrome trace)",
     )
-    trace.add_argument("scenario", choices=("elastic", "predict", "chaos", "multi", "shard"))
+    trace.add_argument("scenario", choices=("elastic", "predict", "chaos", "multi"))
     trace.add_argument("--dag", default=None,
                        help="dataflow (default: the scenario's own default; "
                             "comma-separated tenant list for multi)")
     trace.add_argument("--strategy", default=None, choices=("dsm", "dcr", "ccr"))
     trace.add_argument("--profile", default="surge",
-                       help="rate-profile preset for elastic/predict/shard")
+                       help="rate-profile preset for elastic/predict")
     trace.add_argument("--surge", type=float, default=2.0,
                        help="surge multiplier for predict/multi scenarios")
     trace.add_argument("--duration", type=float, default=None,
-                       help="simulated run time (default: 600s; 120s per shard)")
+                       help="simulated run time (default: 600s)")
     trace.add_argument("--seed", type=int, default=2018)
     trace.add_argument("--out", default="", metavar="PATH",
                        help="trace JSONL path (default: results/TRACE_<scenario>.jsonl)")

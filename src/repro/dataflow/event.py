@@ -70,7 +70,7 @@ def reset_event_ids() -> None:
     """Reset the global event-id counter (used by tests for determinism).
 
     Also drains the event pool: pooled objects are recycled run-local state,
-    and a hermetic run (shard workers, equivalence tests) must not observe
+    and a hermetic run (figure-matrix cells, equivalence tests) must not observe
     objects left over from a previous run.
     """
     global _EVENT_ID_COUNTER, _POOL_RECYCLED

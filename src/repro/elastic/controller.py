@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Type
 
 from repro.cluster.cloud import ON_DEMAND, CloudProvider
-from repro.cluster.placement import PlacementPlan, incremental_plan
+from repro.cluster.placement import PackingError, PlacementPlan, incremental_plan
 from repro.cluster.vm import VM_TYPES, VirtualMachine, VMType
 from repro.core.strategy import MigrationReport, MigrationStrategy
 from repro.elastic.forecast import ForecastPolicy
@@ -318,6 +318,8 @@ class ElasticityController:
         self.actions: List[ScalingAction] = []
         self.recoveries: List[RecoveryRecord] = []
         self.evacuations: List[EvacuationRecord] = []
+        #: Recoveries whose repair could not pack yet (see _enact_recovery).
+        self._stalled_recoveries: List[RecoveryRecord] = []
         self._timer = None
         self._pending_tier: Optional[str] = None
         self._pending_count = 0
@@ -757,7 +759,8 @@ class ElasticityController:
 
         Targets every eligible worker VM except the excluded (doomed) ones;
         only executors stranded without a live slot move.  Sources and sinks
-        stay pinned where they are.
+        stay pinned where they are.  Raises :class:`PackingError` when the
+        free slots cannot host every stranded executor.
         """
         runtime = self.runtime
         excluded = set(exclude_vm_ids)
@@ -804,22 +807,43 @@ class ElasticityController:
         """Hook: a replacement VM joined the cluster (tenant tags + arbiter sync)."""
 
     def _enact_recovery(self, record: RecoveryRecord) -> None:
+        """Re-place and restore the record's lost executors.
+
+        The repair plan relocates *every* stranded executor, but each
+        recovery sized its capacity for its own losses only.  When two
+        recoveries overlap, the first to enact can find more stranded
+        executors than free slots: it then stalls until another recovery's
+        replacements land, and that recovery re-places and restores the
+        stalled ones with its own.
+        """
         runtime = self.runtime
         lost = [eid for eid in record.lost_executors if eid in runtime.executors]
         if not lost:
             record.restored_at = runtime.sim.now
             return
-        plan = self._rebuild_plan()
-        record.rebalanced_at = runtime.sim.now
-        runtime.rebalance(plan, on_command_complete=lambda _rec: self._restore_lost(record))
+        try:
+            plan = self._rebuild_plan()
+        except PackingError:
+            if not any(r.pending_replacements for r in self.recoveries):
+                raise  # no capacity on the way: nothing would ever retry
+            self._stalled_recoveries.append(record)
+            return
+        records = self._stalled_recoveries + [record]
+        self._stalled_recoveries = []
+        for enacted in records:
+            enacted.rebalanced_at = runtime.sim.now
+        runtime.rebalance(plan, on_command_complete=lambda _rec: self._restore_lost(records))
 
-    def _restore_lost(self, record: RecoveryRecord) -> None:
+    def _restore_lost(self, records: List[RecoveryRecord]) -> None:
         runtime = self.runtime
-        lost = [eid for eid in record.lost_executors if eid in runtime.executors]
-        runtime.restore_executors(lost, on_complete=lambda: self._recovery_complete(record))
+        lost = [
+            eid for record in records for eid in record.lost_executors if eid in runtime.executors
+        ]
+        runtime.restore_executors(lost, on_complete=lambda: self._recovery_complete(records))
 
-    def _recovery_complete(self, record: RecoveryRecord) -> None:
-        record.restored_at = self.runtime.sim.now
+    def _recovery_complete(self, records: List[RecoveryRecord]) -> None:
+        for record in records:
+            record.restored_at = self.runtime.sim.now
 
     # ------------------------------------------------------- evacuation internals
     def _try_evacuate(self, record: EvacuationRecord) -> None:
@@ -891,8 +915,18 @@ class ElasticityController:
 
     def _start_evacuation(self, record: EvacuationRecord) -> None:
         runtime = self.runtime
+        if record.completed_at is not None or record.vm_id not in runtime.cluster:
+            return  # a retry that the deadline overran
+        try:
+            plan = self._rebuild_plan(exclude_vm_ids=(record.vm_id,))
+        except PackingError:
+            # Executors stranded by an in-flight unplanned recovery need the
+            # free slots too; retry once its replacements have landed.  If
+            # they never do, the kill at the deadline takes the unplanned path.
+            retry = min(5.0, max(0.5, record.deadline - runtime.sim.now))
+            runtime.sim.schedule(retry, self._start_evacuation, record)
+            return
         record.migration_issued = True
-        plan = self._rebuild_plan(exclude_vm_ids=(record.vm_id,))
         strategy = self.strategy_cls(runtime)
         self._evacuation_starting(record)
         record.report = strategy.migrate(

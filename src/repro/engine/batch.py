@@ -57,6 +57,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from repro.dataflow.event import (
     Event,
     EventKind,
@@ -67,13 +69,7 @@ from repro.dataflow.event import (
 from repro.dataflow.grouping import Grouping, field_key_of, stable_field_index
 from repro.dataflow.task import TaskKind
 from repro.engine.executor import Executor, ExecutorStatus, SinkExecutor, SourceExecutor
-
 from repro.sim.rng import keyed_value_block
-
-try:  # numpy powers the vectorized sweep; the cascade degrades without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
 
 _EMIT = 0
 _ARRIVE = 1
@@ -116,7 +112,7 @@ class BatchStepper:
         cached = self._vector_capable_cache
         if cached is None:
             runtime = self.runtime
-            cached = _np is not None and runtime.config.batch_vectorize
+            cached = runtime.config.batch_vectorize
             if cached:
                 dataflow = runtime.dataflow
                 for task in dataflow.tasks:

@@ -119,7 +119,7 @@ class RuntimeConfig:
     #: ``(seed, "network-jitter", channel_key, sequence)`` instead of one
     #: shared ``random.Random``.  With keyed streams the jitter seen on one
     #: channel no longer depends on how deliveries on *other* channels are
-    #: interleaved, which is the prerequisite for batch stepping and sharding.
+    #: interleaved, which is the prerequisite for batch stepping.
     #: Off by default: the shared stream is what the committed ``results/``
     #: figures were recorded with.
     keyed_network_jitter: bool = False

@@ -57,9 +57,8 @@ from repro.elastic import (
 )
 from repro.engine.config import RuntimeConfig
 from repro.engine.runtime import TopologyRuntime
-from repro.metrics.log import EventLog
+from repro.metrics.log import EventLog, log_digest
 from repro.sim import RandomSource, Simulator
-from repro.sim.shard import log_digest
 
 #: Recovery modes compared by default, in report order.
 DEFAULT_MODES: Tuple[str, ...] = ("notice", "oblivious")

@@ -35,17 +35,12 @@ columnar backend appends them with numpy copies, no per-event Python object.
 
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set
 
-try:  # numpy is baked into the image; guard anyway so the engine degrades.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-#: Whether the columnar backend is usable in this interpreter.
-HAVE_COLUMNAR = _np is not None
+import numpy as _np
 
 from repro.sim import Simulator
 
@@ -608,8 +603,6 @@ class ColumnarEventLog(EventLog):
     """
 
     def __init__(self, sim: Simulator) -> None:
-        if _np is None:  # pragma: no cover - exercised only without numpy
-            raise RuntimeError("ColumnarEventLog requires numpy")
         self.sim = sim
         self.drops: List[DropRecord] = []
         self.deferred: List[DeferredRecord] = []
@@ -701,29 +694,6 @@ class ColumnarEventLog(EventLog):
         """Per-receipt root emission times (parallel to the receipt times)."""
         return self._receipt_emitted.view()
 
-    def emit_columns(self) -> Dict[str, Any]:
-        """Compact copies of the emit columns (for shard transport/merging)."""
-        return {
-            "time": self._emit_time.view().copy(),
-            "root": self._emit_root.view().copy(),
-            "source": self._emit_source.view().copy(),
-            "replay": self._emit_replay.view().copy(),
-            "backlog": self._emit_backlog.view().copy(),
-            "names": list(self._names),
-        }
-
-    def receipt_columns(self) -> Dict[str, Any]:
-        """Compact copies of the receipt columns (for shard transport/merging)."""
-        return {
-            "time": self._receipt_time.view().copy(),
-            "root": self._receipt_root.view().copy(),
-            "event": self._receipt_event.view().copy(),
-            "sink": self._receipt_sink.view().copy(),
-            "emitted": self._receipt_emitted.view().copy(),
-            "replay": self._receipt_replay.view().copy(),
-            "names": list(self._names),
-        }
-
     # -------------------------------------------------------------- recording
     def record_source_emit(
         self,
@@ -800,3 +770,49 @@ class ColumnarEventLog(EventLog):
             self._receipt_sink.extend(codes[_np.asarray(sink_indices)])
         self._receipt_emitted.extend(root_emitted_ats)
         self._receipt_replay.extend_fill(replay_count, count)
+
+
+def log_digest(log: EventLog) -> str:
+    """Stable content hash of a log's emission/receipt records.
+
+    Floats are rendered with ``repr`` (shortest round-trip form), so two logs
+    share a digest iff every record field is bit-identical — which is how the
+    classic and columnar backends, and the classic and batch-stepped kernels,
+    are checked against each other.  Columnar logs are hashed straight from
+    their columns (``tolist`` yields the same native floats/ints the records
+    would carry), skipping row materialization.
+    """
+    hasher = hashlib.sha256()
+    if isinstance(log, ColumnarEventLog):
+        names = log._names
+        emits = zip(
+            log._emit_time.view().tolist(),
+            log._emit_root.view().tolist(),
+            [names[code] for code in log._emit_source.view().tolist()],
+            log._emit_replay.view().tolist(),
+            log._emit_backlog.view().tolist(),
+        )
+        receipts = zip(
+            log._receipt_time.view().tolist(),
+            log._receipt_root.view().tolist(),
+            log._receipt_event.view().tolist(),
+            [names[code] for code in log._receipt_sink.view().tolist()],
+            log._receipt_emitted.view().tolist(),
+            log._receipt_replay.view().tolist(),
+        )
+    else:
+        emits = (
+            (e.time, e.root_id, e.source, e.replay_count, e.from_backlog)
+            for e in log.source_emits
+        )
+        receipts = (
+            (r.time, r.root_id, r.event_id, r.sink, r.root_emitted_at, r.replay_count)
+            for r in log.sink_receipts
+        )
+    for time, root, source, replay, backlog in emits:
+        hasher.update(f"E {time!r} {root} {source} {replay} {int(backlog)}\n".encode("utf-8"))
+    for time, root, event, sink, emitted, replay in receipts:
+        hasher.update(
+            f"R {time!r} {root} {event} {sink} {emitted!r} {replay}\n".encode("utf-8")
+        )
+    return hasher.hexdigest()

@@ -26,10 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-try:  # numpy is baked into the image; the scalar path covers its absence.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 from repro.metrics.log import EventLog, SinkReceipt, SourceEmit
 
@@ -93,7 +90,7 @@ def rate_timeline(
         raise ValueError(f"kind must be 'input' or 'output', got {kind!r}")
     if end is None:
         end = log.sim.now
-    if times_array is not None and _np is not None:
+    if times_array is not None:
         return _bin_rates_vectorized(times_array, start, end, bin_s)
     return _bin_rates(times, start, end, bin_s)
 
@@ -134,7 +131,7 @@ def latency_timeline(
     num_windows = int(math.ceil((end - start) / window_s))
     times_array = getattr(log, "receipt_times_array", None)
     emitted_array = getattr(log, "receipt_emitted_array", None)
-    if times_array is not None and emitted_array is not None and _np is not None:
+    if times_array is not None and emitted_array is not None:
         lo, hi = _np.searchsorted(times_array, [start, end], side="left")
         window = times_array[lo:hi]
         if window.size:

@@ -19,12 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.sim import Simulator, Timer
+import numpy as _np
 
-try:  # numpy accelerates the bulk XOR folds; the scalar path is exact without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+from repro.sim import Simulator, Timer
 
 
 @dataclass
@@ -220,12 +217,12 @@ class AckerService:
         """Reduce ``(root_id, event_id)`` pairs to per-root ``(root, xor, count)``.
 
         The XOR fold is order-independent, so the whole stream collapses with
-        one ``np.bitwise_xor.reduceat`` over a root-sorted view; the scalar
-        dict fold is the exact same reduction without numpy (or for tiny
-        batches where the sort setup costs more than it saves).
+        one ``np.bitwise_xor.reduceat`` over a root-sorted view; tiny batches,
+        where the sort setup costs more than it saves, take the scalar dict
+        fold, which is the exact same reduction.
         """
         n = len(pairs)
-        if _np is not None and n >= 8:
+        if n >= 8:
             arr = _np.asarray(pairs, dtype=_np.uint64)
             order = _np.argsort(arr[:, 0], kind="stable")
             roots = arr[order, 0]

@@ -41,7 +41,7 @@ from repro.elastic import ControllerConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments import run_elastic_experiment
 from repro.sim import Simulator
-from repro.sim.shard import log_digest
+from repro.metrics.log import log_digest
 from repro.workloads import StepProfile
 
 from tests.conftest import build_cluster, fast_config

@@ -24,6 +24,7 @@ event pool.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.dataflow import topologies
@@ -248,7 +249,6 @@ class TestRunBatchedCohorts:
 # ----------------------------------------------------------- RNG block draws
 class TestKeyedValueBlock:
     def test_bit_identical_to_scalar_draws(self):
-        np = pytest.importorskip("numpy")
         for seed in (0, 1, 2018, (1 << 64) - 1, 0x9E3779B97F4A7C15):
             for start, count in ((0, 1), (0, 17), (5, 64), (123456789, 7)):
                 block = keyed_value_block(seed, start, count, np)
@@ -256,7 +256,6 @@ class TestKeyedValueBlock:
                 assert block.tolist() == scalars
 
     def test_values_in_unit_interval(self):
-        np = pytest.importorskip("numpy")
         block = keyed_value_block(42, 0, 1000, np)
         assert float(block.min()) >= 0.0
         assert float(block.max()) < 1.0

@@ -232,6 +232,39 @@ class TestZeroNoticeKillRecovery:
         assert any(receipt.time > kill_time + 60.0 for receipt in result.log.sink_receipts)
 
 
+class TestOverlappingRecoveries:
+    """Repairs that overlap must wait for capacity, not raise PackingError.
+
+    Each recovery sizes its replacement capacity for its own lost executors,
+    but the repair plan relocates every stranded executor.  When a second VM
+    dies before the first recovery's replacement arrives, the first repair
+    finds four stranded executors and three free slots.
+    """
+
+    def _assert_recovered(self, result):
+        assert len(result.recoveries) >= 2
+        for record in result.recoveries:
+            if record.pending_replacements == 0:
+                assert record.restored_at is not None, record
+        # The overlapping repairs were enacted together, in one rebalance.
+        rebalanced = [r.rebalanced_at for r in result.recoveries]
+        assert len(set(rebalanced)) < len(rebalanced)
+
+    def test_second_failure_before_first_replacement_arrives(self):
+        result = run_chaos_run(dag="grid-keyed", strategy="dsm", mode="oblivious",
+                               duration_s=600, storm_count=3, seed=48)
+        self._assert_recovered(result)
+
+    def test_evacuation_waits_for_an_in_flight_recovery(self):
+        # d2-003's drain overruns into an unplanned recovery whose replacement
+        # is slow; the next notice's drain must not relocate d2-003's stranded
+        # executors onto too few slots while that replacement is on the way.
+        result = run_chaos_run(dag="grid-keyed", strategy="dsm", mode="notice",
+                               duration_s=600, storm_count=3, seed=168)
+        assert any(e.overrun and not e.migration_issued for e in result.evacuations)
+        self._assert_recovered(result)
+
+
 # ------------------------------------------------------------- acceptance (b)
 @pytest.fixture(scope="module")
 def storm_comparison():

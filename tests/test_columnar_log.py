@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metrics.log import HAVE_COLUMNAR, ColumnarEventLog, EventLog
-from repro.sim.shard import log_digest
-
-pytestmark = pytest.mark.skipif(not HAVE_COLUMNAR, reason="numpy unavailable")
+from repro.metrics.log import ColumnarEventLog, EventLog, log_digest
 
 
 class _Clock:

@@ -157,10 +157,9 @@ class TestColumnarDefaultFigures:
     """
 
     def test_figure_cell_digest_identical_across_log_backends(self, monkeypatch):
-        pytest.importorskip("numpy")
         from repro.engine.config import RuntimeConfig
         from repro.experiments.scenarios import run_migration_experiment
-        from repro.sim.shard import log_digest
+        from repro.metrics.log import log_digest
 
         columnar = run_migration_experiment(dag="linear", strategy="dsm", scaling="in")
         assert type(columnar.runtime.log).__name__ == "ColumnarEventLog"

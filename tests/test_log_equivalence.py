@@ -8,14 +8,12 @@ backends to naive reference implementations (the seed's original list
 comprehensions) and to each other on
 
 * a recorded Grid steady-state run,
-* a recorded closed-loop elastic run (migrations, replays, kills),
-* a sharded-run merge (both the heapq fallback and the lexsort array path),
-  and
+* a recorded closed-loop elastic run (migrations, replays, kills), and
 * synthetic logs exercising empty windows, exact-boundary windows and
   equal-time ties,
 
 asserting byte-identical results everywhere — including
-:func:`~repro.sim.shard.log_digest` equality between the classic and
+:func:`~repro.metrics.log.log_digest` equality between the classic and
 columnar backends for every recorded scenario.
 """
 
@@ -30,22 +28,14 @@ from repro.dataflow.event import reset_event_ids
 from repro.core.strategy import strategy_by_name
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments.elastic import run_elastic_experiment
-from repro.experiments.sharded import run_sharded_experiment
-from repro.metrics.log import HAVE_COLUMNAR, ColumnarEventLog, EventLog
+from repro.metrics.log import ColumnarEventLog, EventLog, log_digest
 from repro.metrics.timeline import RatePoint, latency_timeline, rate_timeline
 from repro.sim import Simulator
-from repro.sim.shard import (
-    _merge_shard_results_columnar,
-    _merge_shard_results_python,
-    log_digest,
-)
 
 from tests.conftest import build_cluster, fast_config
 
-#: Log backends under test; the columnar one needs numpy.
-BACKENDS = ["classic"] + (["columnar"] if HAVE_COLUMNAR else [])
-
-needs_columnar = pytest.mark.skipif(not HAVE_COLUMNAR, reason="numpy unavailable")
+#: Log backends under test.
+BACKENDS = ["classic", "columnar"]
 
 
 # ----------------------------------------------------------- naive references
@@ -156,21 +146,12 @@ def _elastic_log(columnar: bool):
 
 
 @pytest.fixture(scope="module")
-def shard_results():
-    """Per-shard results of one sharded Grid run, merged by both paths below."""
-    return run_sharded_experiment(dag="grid", shards=3, duration_s=10.0,
-                                  seed=2018, workers=1).results
-
-
-@pytest.fixture(scope="module")
 def grid_log():
     return _grid_log(columnar=False)
 
 
 @pytest.fixture(scope="module")
 def grid_log_columnar():
-    if not HAVE_COLUMNAR:
-        pytest.skip("numpy unavailable")
     return _grid_log(columnar=True)
 
 
@@ -181,23 +162,7 @@ def elastic_log():
 
 @pytest.fixture(scope="module")
 def elastic_log_columnar():
-    if not HAVE_COLUMNAR:
-        pytest.skip("numpy unavailable")
     return _elastic_log(columnar=True)
-
-
-@pytest.fixture(scope="module")
-def merged_log(shard_results):
-    """Sharded-run merge through the per-record heapq fallback."""
-    return _merge_shard_results_python(shard_results)
-
-
-@pytest.fixture(scope="module")
-def merged_log_columnar(shard_results):
-    """The same merge through the lexsort array path."""
-    if not HAVE_COLUMNAR:
-        pytest.skip("numpy unavailable")
-    return _merge_shard_results_columnar(shard_results)
 
 
 def interesting_times(log):
@@ -215,7 +180,6 @@ def interesting_times(log):
 LOG_FIXTURES = [
     "grid_log", "grid_log_columnar",
     "elastic_log", "elastic_log_columnar",
-    "merged_log", "merged_log_columnar",
 ]
 
 
@@ -296,7 +260,6 @@ class TestTimelinesMatchNaive:
 
 
 # ------------------------------------------- classic vs columnar byte identity
-@needs_columnar
 class TestBackendByteIdentity:
     """The columnar backend must be indistinguishable from the classic one.
 
@@ -309,9 +272,6 @@ class TestBackendByteIdentity:
 
     def test_elastic_digest(self, elastic_log, elastic_log_columnar):
         assert log_digest(elastic_log_columnar) == log_digest(elastic_log)
-
-    def test_sharded_merge_digest(self, merged_log, merged_log_columnar):
-        assert log_digest(merged_log_columnar) == log_digest(merged_log)
 
     def test_grid_records_compare_equal(self, grid_log, grid_log_columnar):
         assert list(grid_log_columnar.source_emits) == list(grid_log.source_emits)
@@ -365,7 +325,6 @@ def test_tie_times_and_boundaries_synthetic(backend):
     assert log.distinct_roots_received() == naive_distinct_roots_received(log)
 
 
-@needs_columnar
 def test_tie_log_digests_identical():
     """Tied/boundary timestamps hash identically across backends."""
     assert log_digest(_tie_log("columnar")) == log_digest(_tie_log("classic"))

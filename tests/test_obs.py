@@ -37,7 +37,7 @@ from repro.obs import (
     validate_trace_jsonl,
     write_trace_jsonl,
 )
-from repro.sim.shard import log_digest
+from repro.metrics.log import log_digest
 
 STAGES = ["sense", "forecast", "plan", "place", "act"]
 
