@@ -4,57 +4,56 @@ The classic kernel executes one Python callback per simulated event; a single
 source tick costs two heap round-trips per hop (delivery, service completion)
 plus the deliver -> queue -> ``_maybe_process`` -> ``_complete_data`` call
 chain.  At steady state none of that machinery can change the outcome: every
-executor is initialized and idle, no control wave is in flight, and the only
-cancellable timer pending is the source's own emit tick.
+executor is initialized and running, no control wave is in flight, and the
+only cancellable timers pending are the source's own emit tick and timers
+that bound the stretch.
 
 The :class:`BatchStepper` exploits this.  When the emit timer fires and the
 runtime is *quiescent* (checked exhaustively below), the whole stretch of
 simulated time up to the next cancellable timer (exclusive) or the ``run``
-bound (inclusive) is materialized inside one callback: a private heap of
-``(time, seq, kind, ...)`` entries replays exactly the entries the kernel
-would have processed -- source ticks, channel deliveries, service completions
--- with the handlers inlined (Lindley-style per-executor service clocks on
-the real executor objects, keyed per-channel jitter draws, direct event-log
-appends with explicit timestamps).  Entries that land at or past the horizon
-are *spilled* back onto the real kernel heap in classic form
-(``runtime.deliver`` / ``Executor._complete_data``), and executor state is
-left exactly as the classic kernel would have it at the horizon, so
-processing continues seamlessly -- a monitor sampling at the horizon observes
-identical ``processed_count`` / ``busy_time_s`` / log contents.
+bound (inclusive) is swept inside one callback with per-task-instance numpy
+arrays: keyed per-channel jitter blocks, FIFO bumps and Lindley service
+recurrences on the real executor objects, and whole-array event-log appends.
+Data work already in flight on the kernel heap (pending deliveries,
+in-service completions, queued arrivals) is adopted into the sweep.  Work that
+lands at or past the horizon is *spilled* back onto the real kernel heap in
+classic form (``runtime.deliver`` / ``Executor._complete_data``), and
+executor state is left exactly as the classic kernel would have it at the
+horizon, so processing continues seamlessly -- a monitor sampling at the
+horizon observes identical ``processed_count`` / ``busy_time_s`` / log
+contents.
 
 Correctness requires the keyed per-channel jitter streams
 (``RuntimeConfig.keyed_network_jitter``, implied by ``batch_stepping``):
 with the shared stream, collapsing the cross-channel interleaving would
 permute every jitter draw.  With keyed streams each channel consumes its own
-sequence, so the cascade draws the exact values the classic kernel draws in
-keyed mode.  Event ids are drawn in cascade pop order, which mirrors the
-classic pop order entry for entry; the equivalence tests in
-``tests/test_batch_equivalence.py`` pin both the logged streams and the
-executor counters.
+sequence, so the sweep draws the exact values the classic kernel draws in
+keyed mode.  The contract: simulated times, logged streams and executor
+counters match the classic keyed kernel; only the event-id assignment order
+differs (ids are drawn in sweep order).  Where the sweep declines -- a
+dataflow that is not vector-capable, a runtime that is not quiescent, or
+in-flight work it does not model -- the tick takes the classic per-event
+path, so that stretch is the classic keyed run exactly.  The equivalence
+tests in ``tests/test_batch_equivalence.py`` and
+``tests/test_acked_batch_equivalence.py`` pin both.
 
-Batch stepping stays engaged when data acking is on.  The heap tier calls the
-real :class:`~repro.reliability.acker.AckerService` at exactly the classic
-code points (register at each emit pop, anchor at each route, ack at each
-completion pop), evaluates the real spout-pending throttle per tick, and
-spills everything at or past a mid-cascade drain-timer horizon back to the
-kernel -- so it remains bit-exact.  The vectorized tier replays the acker XOR
-stream symbolically: a loss-free steady-state stretch anchors and acks every
-event of a tuple tree inside one sweep, so the per-tree ``bitwise_xor`` folds
-cancel to zero by construction and whole trees resolve without ever
-materializing a :class:`~repro.reliability.acker.PendingTree`; only events
-that cross the horizon fold real ids into the bulk acker APIs
+Batch stepping stays engaged when data acking is on.  The sweep replays the
+acker XOR stream symbolically: a loss-free steady-state stretch anchors and
+acks every event of a tuple tree inside one sweep, so the per-tree
+``bitwise_xor`` folds cancel to zero by construction and whole trees resolve
+without ever materializing a :class:`~repro.reliability.acker.PendingTree`;
+only events that cross the horizon fold real ids into the bulk acker APIs
 (``register_block`` / ``anchor_batch`` / ``ack_batch`` / ``settle_batch``).
 The cascade horizon is clamped to ``now + ack timeout`` so no tree a sweep
 registers can time out mid-stretch, and the cascade declines whenever the
 runtime is not quiescent (control waves, backlogs, replays in flight,
-restarts, captures, multiple sources), falling back to the classic per-event
-path for that tick -- loss/replay windows, fault injection and migrations
-always take the reference path.
+restarts, captures, multiple sources) or the source is throttled, falling
+back to the classic per-event path for that tick -- loss/replay windows,
+fault injection and migrations always take the reference path.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as _np
@@ -70,10 +69,6 @@ from repro.dataflow.grouping import Grouping, field_key_of, stable_field_index
 from repro.dataflow.task import TaskKind
 from repro.engine.executor import Executor, ExecutorStatus, SinkExecutor, SourceExecutor
 from repro.sim.rng import keyed_value_block
-
-_EMIT = 0
-_ARRIVE = 1
-_COMPLETE = 2
 
 _RUNNING = ExecutorStatus.RUNNING
 _DATA_KIND = EventKind.DATA
@@ -105,50 +100,45 @@ class BatchStepper:
         updates, which is only sound for the default 1:1 dummy logic (tagged
         by :func:`repro.dataflow.task.default_logic`).  Duplicate task-pair
         edges would interleave their per-channel jitter draws per event,
-        which the per-edge arrays cannot reproduce, so they also force the
-        per-event tier.  Topology structure and task logic are fixed for the
-        runtime's lifetime (rescales change parallelism only), hence cached.
+        which the per-edge arrays cannot reproduce, so they also keep the
+        run on the classic path.  Topology structure and task logic are fixed
+        for the runtime's lifetime (rescales change parallelism only), hence
+        cached.
         """
         cached = self._vector_capable_cache
         if cached is None:
-            runtime = self.runtime
-            cached = runtime.config.batch_vectorize
-            if cached:
-                dataflow = runtime.dataflow
-                for task in dataflow.tasks:
-                    if (
-                        task.kind is TaskKind.PROCESS
-                        and getattr(task.logic, "default_selectivity", None) != 1
-                    ):
-                        cached = False
-                        break
-                    dsts = [edge.dst for edge in dataflow.out_edges(task.name)]
-                    if len(dsts) != len(set(dsts)):
-                        cached = False
-                        break
+            cached = True
+            dataflow = self.runtime.dataflow
+            for task in dataflow.tasks:
+                if (
+                    task.kind is TaskKind.PROCESS
+                    and getattr(task.logic, "default_selectivity", None) != 1
+                ):
+                    cached = False
+                    break
+                dsts = [edge.dst for edge in dataflow.out_edges(task.name)]
+                if len(dsts) != len(set(dsts)):
+                    cached = False
+                    break
             self._vector_capable_cache = cached
         return cached
 
     # ------------------------------------------------------------- quiescence
-    def _quiescent(self, source: SourceExecutor, allow_inflight: bool = False) -> bool:
+    def _quiescent(self, source: SourceExecutor) -> bool:
         """Whether the cascade may replace per-event processing right now.
 
         Every condition corresponds to a piece of engine machinery whose
-        behaviour the inline handlers do not replicate: if any is live, the
-        tick falls back to the classic path (and may cascade again later).
-
-        ``allow_inflight`` relaxes the strict-idle conditions (no pending
-        fast-path kernel entries, all executors idle with empty queues) for
-        the vectorized tier, which can *adopt* in-flight data work -- pending
-        deliveries, in-service completions, queued arrivals -- into its sweep.
-        That is what lets cascades re-engage mid-stream: at steady state the
-        pipeline is never empty between two source ticks, so the strict check
-        only ever passes on the very first tick of a run.  The per-event heap
-        tier has no ingestion path and always requires the strict form.
+        behaviour the sweep does not replicate: if any is live, the tick
+        falls back to the classic path (and may cascade again later).
+        In-flight data work -- pending deliveries, in-service completions,
+        queued arrivals -- does not break quiescence: the sweep adopts it
+        (or declines on what it does not model, see
+        :meth:`_cascade_vectorized`).  That is what lets cascades re-engage
+        mid-stream, where the pipeline is never empty between two source
+        ticks.
         """
         runtime = self.runtime
-        sim = runtime.sim
-        if sim.run_until is None:
+        if runtime.sim.run_until is None:
             return False  # unbounded run: no horizon to materialize up to
         sources = runtime.source_executors
         if len(sources) != 1 or sources[0] is not source:
@@ -159,14 +149,10 @@ class BatchStepper:
             return False
         if runtime._deferred_deliveries:
             return False
-        if not allow_inflight and sim.has_fast_entries():
-            return False  # deliveries/completions already in flight
         for executor in runtime.executors.values():
             if executor.status is not _RUNNING or not executor.initialized:
                 return False
             if executor.capture_mode or executor.pre_init_buffer:
-                return False
-            if not allow_inflight and (executor._busy or executor.input_queue):
                 return False
         return True
 
@@ -178,9 +164,9 @@ class BatchStepper:
         downstream work either completed inline or spilled, and the next emit
         timer armed); False to fall back to the classic per-tick path.
         """
-        vectorized = self._vector_capable()
-        strict = self._quiescent(source)
-        if not strict and not (vectorized and self._quiescent(source, allow_inflight=True)):
+        if not self._vector_capable():
+            return False
+        if not self._quiescent(source):
             return False
         runtime = self.runtime
         sim = runtime.sim
@@ -202,199 +188,7 @@ class BatchStepper:
             if horizon is None or timeout_at < horizon:
                 horizon = timeout_at
 
-        if vectorized and self._cascade_vectorized(source, now0, limit, horizon, acked):
-            return True
-        if not strict:
-            return False  # in-flight work present; only the vectorized tier ingests it
-
-        log = runtime.log
-        timing = runtime.timing
-        acker = runtime.acker
-        reliability = runtime.reliability
-        deliver = runtime.deliver
-        record_receipt = log.record_sink_receipt
-        record_emit = log.record_source_emit
-        schedule_at_fast = sim.schedule_at_fast
-        push = heapq.heappush
-        pop = heapq.heappop
-
-        heap: List[tuple] = [(now0, 0, _EMIT, None, None, None)]
-        seq = 1
-        inline = 0
-
-        while heap:
-            t, _, kind, a, b, c = pop(heap)
-            if acked and horizon is not None and t >= horizon:
-                # A drain timer armed mid-cascade (throttle/backlog tick)
-                # pulled the horizon in: hand this entry back to the kernel in
-                # classic form so the drain tick observes classic state.
-                if kind == _ARRIVE:
-                    schedule_at_fast(t, deliver, (a.executor_id, b, c))
-                elif kind == _COMPLETE:
-                    schedule_at_fast(t, a._complete_data, (b,))
-                else:
-                    source._emit_timer = sim.schedule_at(t, source._emit_tick)
-                continue
-            inline += 1
-            if kind == _ARRIVE:
-                executor = a
-                if executor._busy or executor.input_queue:
-                    executor.input_queue.append((b, c))
-                    continue
-                executor._busy = True
-                tc = t + executor._service_time
-                if tc <= limit and (horizon is None or tc < horizon):
-                    push(heap, (tc, seq, _COMPLETE, executor, b, None))
-                    seq += 1
-                else:
-                    # Completion crosses the horizon: hand it back to the
-                    # kernel in classic form (the executor stays busy, exactly
-                    # as if deliver() had scheduled this).
-                    schedule_at_fast(tc, executor._complete_data, (b,))
-            elif kind == _COMPLETE:
-                executor = a
-                event = b
-                if type(executor) is SinkExecutor:
-                    # Sink service: record the receipt (explicit timestamp --
-                    # cascade pops are globally time-ordered, so the indexed
-                    # log stays monotone), ack the tree, recycle the dead
-                    # event (a no-op for anchored events, as in the classic
-                    # sink path).
-                    executor.received_count += 1
-                    record_receipt(
-                        root_id=event.root_id,
-                        event_id=event.event_id,
-                        sink=executor.task.name,
-                        root_emitted_at=event.root_emitted_at,
-                        replay_count=event.replay_count,
-                        at_time=t,
-                    )
-                    executor.processed_count += 1
-                    if acked and event.anchored:
-                        acker.ack(event.root_id, event.event_id)
-                    recycle_event(event)
-                else:
-                    task = executor.task
-                    acked_ev = acked and event.anchored
-                    if acked_ev:
-                        # The 1:1 restamp below mutates event_id; capture the
-                        # (root, id) pair the classic path acks after routing.
-                        ack_root = event.root_id
-                        ack_id = event.event_id
-                    outputs = task.logic(event.payload, executor.state)
-                    if outputs:
-                        if len(outputs) == 1:
-                            # 1:1 selectivity: mutate the event into its own
-                            # child (same id-draw position as the classic
-                            # path, see Executor._complete_data).
-                            payload = outputs[0]
-                            event.event_id = next_event_id()
-                            event.source_task = task.name
-                            if payload is not None:
-                                event.payload = payload
-                            event.created_at = t
-                            children = (event,)
-                        else:
-                            children = [
-                                event.derive(task.name, payload, t) for payload in outputs
-                            ]
-                        seq = self._route_inline(
-                            executor.executor_id, task.name, children, t,
-                            heap, seq, limit, horizon,
-                        )
-                    if acked_ev:
-                        acker.ack(ack_root, ack_id)
-                    executor.processed_count += 1
-                    executor.busy_time_s += executor._service_time
-                # Drain the input queue exactly as _maybe_process would.
-                queue = executor.input_queue
-                if queue:
-                    next_event, _sender = queue.popleft()
-                    tc = t + executor._service_time
-                    if tc <= limit and (horizon is None or tc < horizon):
-                        push(heap, (tc, seq, _COMPLETE, executor, next_event, None))
-                        seq += 1
-                    else:
-                        schedule_at_fast(tc, executor._complete_data, (next_event,))
-                else:
-                    executor._busy = False
-            else:  # _EMIT: one source generation tick (mirrors _emit_tick)
-                source._sequence += 1
-                payload = source._payload(source._sequence)
-                if acked and source._throttled():
-                    # Storm's max.spout.pending, evaluated against the live
-                    # pending count (trees register and complete in pop
-                    # order, so the trajectory is exactly the classic one).
-                    if reliability.throttled_ticks_generate_backlog:
-                        source._backlog.append(payload)
-                    else:
-                        source.skipped_ticks += 1
-                    horizon = self._inline_drain_timer(source, t, now0, horizon)
-                elif acked and (source._backlog or source._replay_queue):
-                    # Preserve ordering behind the backlog a throttled tick
-                    # started, exactly as _tick() would.
-                    source._backlog.append(payload)
-                    horizon = self._inline_drain_timer(source, t, now0, horizon)
-                else:
-                    event = Event.data(
-                        source_task=source.task.name,
-                        payload=payload,
-                        created_at=t,
-                        anchored=acked,
-                    )
-                    if acked:
-                        acker.register(event.root_id, at_time=t)
-                        source._cache[event.root_id] = payload
-                    source.emitted_count += 1
-                    record_emit(event.root_id, source.task.name, replay_count=0,
-                                from_backlog=False, at_time=t)
-                    seq = self._route_inline(
-                        source.executor_id, source.task.name, (event,), t,
-                        heap, seq, limit, horizon,
-                    )
-                # Re-arm: same rate evaluation _arm_emit_timer performs at t.
-                profile = source.profile
-                rate = float(profile.rate_at(t)) if profile is not None else source.rate
-                if rate <= 0:
-                    source._emit_timer = sim.schedule_at(
-                        t + timing.source_idle_recheck_s, source._arm_emit_timer
-                    )
-                else:
-                    source.rate = rate
-                    tn = t + 1.0 / rate
-                    if tn <= limit and (horizon is None or tn < horizon):
-                        push(heap, (tn, seq, _EMIT, None, None, None))
-                        seq += 1
-                    else:
-                        source._emit_timer = sim.schedule_at(tn, source._emit_tick)
-
-        self.cascades += 1
-        self.inline_events += inline
-        return True
-
-    def _inline_drain_timer(
-        self, source: SourceExecutor, t: float, now0: float, horizon: Optional[float]
-    ) -> Optional[float]:
-        """Arm the source's backlog drain timer from inside a cascade.
-
-        Mirrors ``SourceExecutor._ensure_drain_timer`` evaluated at simulated
-        time ``t`` (the kernel clock still sits at ``now0``, hence the
-        start-delay offset).  Returns the new cascade horizon: the timer's
-        first fire pulls it in, so every materialized entry at or past it is
-        spilled back to the kernel and the drain tick observes classic state.
-        """
-        drain = source._drain_timer
-        if drain is not None and drain.active:
-            return horizon
-        runtime = self.runtime
-        period = 1.0 / max(source.rate, runtime.timing.source_max_burst_rate)
-        source._drain_timer = runtime.sim.every(
-            period, source._drain_tick, start_delay=(t - now0) + period
-        )
-        first = t + period
-        if horizon is None or first < horizon:
-            return first
-        return horizon
+        return self._cascade_vectorized(source, now0, limit, horizon, acked)
 
     # ------------------------------------------------------- vectorized tier
     def _cascade_vectorized(
@@ -417,14 +211,13 @@ class BatchStepper:
         the classic keyed kernel; only the *event-id assignment order*
         differs (ids are drawn in sweep order: roots first, then spilled
         events, then receipts).  Work crossing the horizon is reconstructed
-        into classic kernel state exactly as the per-event tier does.
+        into classic kernel state: the deliveries and completions the classic
+        kernel would have pending at the horizon.
 
-        Unlike the per-event tier, this tier also runs under *relaxed*
-        quiescence: pending kernel deliveries, in-service completions and
-        queued arrivals are adopted into the sweep (their times are already
-        fixed, so the merge stays exact), which is what lets cascades
-        re-engage between control-plane windows when the pipeline is never
-        fully drained.
+        Pending kernel deliveries, in-service completions and queued arrivals
+        are adopted into the sweep (their times are already fixed, so the
+        merge stays exact), which is what lets cascades re-engage between
+        control-plane windows when the pipeline is never fully drained.
 
         Under data acking (``acked``) the sweep additionally replays the acker
         XOR stream: events that are both anchored and acked inside the stretch
@@ -441,8 +234,7 @@ class BatchStepper:
         model is present, or when in-flight work includes anything beyond
         plain data events of live trees (control waves, sink batches,
         state-store latencies, replayed events, events of timed-out trees);
-        :meth:`try_cascade` then falls back to the per-event tier or the
-        classic path.
+        :meth:`try_cascade` then falls back to the classic path.
         """
         np = _np
         runtime = self.runtime
@@ -455,17 +247,17 @@ class BatchStepper:
         if acked:
             headroom = source.pending_headroom()
             if headroom == 0:
-                return False  # throttled tick: the classic/heap paths handle it exactly
+                return False  # throttled tick: the classic path handles it exactly
         else:
             headroom = None
         sim = runtime.sim
         router = runtime.router
 
         # ---- In-flight scan (pure, nothing mutated until it fully succeeds).
-        # Under relaxed quiescence the kernel heap may hold pending data work;
-        # classify every fast-path entry, declining on anything the sweep does
-        # not model (control handling, capture drains, sink batch completions,
-        # state-store latencies, acked/replayed events).
+        # The kernel heap may hold pending data work; classify every fast-path
+        # entry, declining on anything the sweep does not model (control
+        # handling, capture drains, sink batch completions, state-store
+        # latencies, acked/replayed events).
         inflight: List[Tuple[float, str, Event, str]] = []
         busy_completions: Dict[Any, Tuple[float, Event]] = {}
         pending_entries = sim.fast_entries()
@@ -1062,7 +854,7 @@ class BatchStepper:
             # Per-root fields are gathered with one numpy fancy-index and the
             # receipt ids come from one bulk reservation plus ``np.arange``.
             # ``extend_receipts`` is backend-polymorphic: the classic log
-            # materializes the exact records the per-event path would have
+            # materializes the exact records the classic path would have
             # built (tolist() yields native floats/ints), the columnar log
             # appends the arrays directly — zero per-event objects.
             rid_arr = np.asarray(root_ids, dtype=np.int64)
@@ -1108,81 +900,3 @@ class BatchStepper:
         self.vector_cascades += 1
         self.inline_events += inline_count
         return True
-
-    # ---------------------------------------------------------------- routing
-    def _route_inline(
-        self,
-        sender_id: str,
-        task_name: str,
-        events,
-        now: float,
-        heap: List[tuple],
-        seq: int,
-        limit: float,
-        horizon: Optional[float],
-    ) -> int:
-        """Route ``events`` at simulated time ``now`` without the kernel.
-
-        Mirrors Router.route()/_route_general: same grouping selection, same
-        sole-delivery id re-stamp vs per-edge copy, same anchor-at-route-time
-        acker call for anchored events, same keyed jitter draw and per-channel
-        FIFO bump (via the router's own ``_delivery_time``).  In-bound
-        deliveries become cascade ARRIVE entries; the rest spill to the
-        kernel as classic deliveries.
-        """
-        runtime = self.runtime
-        router = runtime.router
-        acker = runtime.acker
-        ack_data = runtime.ack_data_events
-        plan = router._route_plans.get(task_name)
-        if plan is None:
-            plan = router._build_plan(task_name)
-        executors = runtime.executors
-        delivery_time = router._delivery_time
-        shuffle_counters = router._shuffle_counters
-        schedule_at_fast = runtime.sim.schedule_at_fast
-        deliver = runtime.deliver
-        push = heapq.heappush
-        single_edge = len(plan) == 1
-        for edge, instances, grouping, num in plan:
-            for event in events:
-                if num == 1:
-                    targets = instances
-                elif grouping is Grouping.ALL:
-                    targets = instances
-                elif grouping is Grouping.GLOBAL:
-                    targets = instances[:1]
-                elif grouping is Grouping.FIELDS:
-                    targets = (
-                        instances[stable_field_index(field_key_of(event.payload), num)],
-                    )
-                else:  # shuffle round-robin per (sender executor, dst task)
-                    counter_key = (sender_id, edge.dst)
-                    index = shuffle_counters.get(counter_key, 0)
-                    shuffle_counters[counter_key] = index + 1
-                    targets = (instances[index % num],)
-                if single_edge and len(targets) == 1:
-                    target = targets[0]
-                    event.event_id = next_event_id()
-                    if ack_data and event.anchored and event.kind is _DATA_KIND:
-                        acker.anchor(event.root_id, event.event_id)
-                    d = delivery_time(sender_id, target, now)
-                    router.routed_count += 1
-                    if d <= limit and (horizon is None or d < horizon):
-                        push(heap, (d, seq, _ARRIVE, executors[target], event, sender_id))
-                        seq += 1
-                    else:
-                        schedule_at_fast(d, deliver, (target, event, sender_id))
-                    continue
-                for target in targets:
-                    copy = event.copy_for_edge()
-                    if ack_data and copy.anchored and copy.kind is _DATA_KIND:
-                        acker.anchor(copy.root_id, copy.event_id)
-                    d = delivery_time(sender_id, target, now)
-                    router.routed_count += 1
-                    if d <= limit and (horizon is None or d < horizon):
-                        push(heap, (d, seq, _ARRIVE, executors[target], copy, sender_id))
-                        seq += 1
-                    else:
-                        schedule_at_fast(d, deliver, (target, copy, sender_id))
-        return seq

@@ -38,17 +38,10 @@ class ReliabilityConfig:
     #: Storm's ``max.spout.pending`` flow control: with acking enabled, a
     #: source stops emitting new events while this many root events are still
     #: unacknowledged.  Only applies when ``ack_all_events`` is set; ``None``
-    #: disables the throttle.
+    #: disables the throttle.  Generator ticks that fire while throttled are
+    #: queued in the source's backlog and emitted later, which conserves the
+    #: input stream so every strategy is charged the same total workload.
     max_spout_pending: Optional[int] = 96
-    #: Whether generator ticks that occur while the source is throttled are
-    #: queued in the source's backlog (and emitted later) rather than skipped.
-    #: The default (``True``) conserves the input stream, so every strategy is
-    #: charged the same total workload; setting it to ``False`` models a purely
-    #: rate-limited synthetic spout whose ``nextTuple`` is simply not called
-    #: while throttled (events generated during the throttle never exist).
-    #: Ticks that occur while the source is *explicitly paused* (DCR/CCR)
-    #: always go to the backlog.
-    throttled_ticks_generate_backlog: bool = True
 
 
 @dataclass
@@ -124,22 +117,16 @@ class RuntimeConfig:
     #: figures were recorded with.
     keyed_network_jitter: bool = False
     #: Run steady-state stretches through the batch-stepping cascade (one
-    #: kernel callback materializes a whole source-tick cohort inline) instead
-    #: of per-event kernel callbacks.  Implies :attr:`keyed_network_jitter`.
-    #: Logged results are equivalent to the classic kernel modulo event-id
-    #: assignment order.  Engaged under data acking too: the stepper replays
-    #: the acker XOR stream in bulk and disengages around the windows where
-    #: per-event ack timing is observable (loss, replay, migrations).
+    #: kernel callback sweeps a whole stretch of source ticks with numpy
+    #: arrays) instead of per-event kernel callbacks.  Implies
+    #: :attr:`keyed_network_jitter`.  Logged results match the classic keyed
+    #: kernel modulo event-id assignment order.  The sweep only engages when
+    #: every processing task runs the default 1:1 dummy logic; where it
+    #: declines, the run is the classic keyed run exactly.  Engaged under
+    #: data acking too: the stepper replays the acker XOR stream in bulk and
+    #: disengages around the windows where per-event ack timing is observable
+    #: (loss, replay, migrations).
     batch_stepping: bool = False
-    #: Within a batch-stepping cascade, sweep whole steady-state stretches
-    #: with numpy array arithmetic (struct-of-arrays per task instance)
-    #: instead of the per-event inline heap.  Only engages when every
-    #: processing task runs the default 1:1 dummy logic; simulated times are
-    #: bit-identical to the classic kernel, event ids are assigned in sweep
-    #: order.  Ignored when numpy is unavailable.  Setting it to ``False``
-    #: forces the per-event cascade, whose logs match the classic keyed
-    #: kernel exactly (including event ids).
-    batch_vectorize: bool = True
     #: Store the run's event log in the columnar (numpy struct-of-arrays)
     #: backend instead of lists of record objects.  Queries are
     #: bit-compatible (lazy row views materialize records on access) and the
@@ -157,17 +144,8 @@ class RuntimeConfig:
 
     def copy(self) -> "RuntimeConfig":
         """Return an independent copy of this configuration."""
-        return RuntimeConfig(
-            reliability=replace(self.reliability),
-            timing=replace(self.timing),
-            seed=self.seed,
-            util_vm_role=self.util_vm_role,
-            sink_batch_max=self.sink_batch_max,
-            keyed_network_jitter=self.keyed_network_jitter,
-            batch_stepping=self.batch_stepping,
-            batch_vectorize=self.batch_vectorize,
-            columnar_log=self.columnar_log,
-            telemetry=self.telemetry,
+        return replace(
+            self, reliability=replace(self.reliability), timing=replace(self.timing)
         )
 
     @classmethod

@@ -447,7 +447,6 @@ class SourceExecutor(Executor):
         "_stopped",
         "emitted_count",
         "replayed_count",
-        "skipped_ticks",
     )
 
     def __init__(self, executor_id: str, task: SourceTask, instance_index: int, runtime: "TopologyRuntimeLike") -> None:
@@ -465,7 +464,6 @@ class SourceExecutor(Executor):
         self._stopped = False
         self.emitted_count = 0
         self.replayed_count = 0
-        self.skipped_ticks = 0
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -605,13 +603,9 @@ class SourceExecutor(Executor):
             self._backlog.append(payload)
             return
         if self._throttled():
-            # Storm's max.spout.pending: nextTuple is simply not called, so the
-            # synthetic generator produces nothing for this tick (unless
-            # configured to defer the tick into the backlog instead).
-            if self.runtime.reliability.throttled_ticks_generate_backlog:
-                self._backlog.append(payload)
-            else:
-                self.skipped_ticks += 1
+            # Storm's max.spout.pending: nextTuple is not called, so the
+            # generated tuple waits in the backlog until the throttle lifts.
+            self._backlog.append(payload)
             self._ensure_drain_timer()
             return
         if self._backlog or self._replay_queue:

@@ -1,34 +1,25 @@
 """Batch stepping under data acking: the acked equivalence matrix.
 
-PR 6's equivalence contract (``tests/test_batch_equivalence.py``) covered the
-unacked path only — the stepper used to disengage the moment acking was on.
-Now it stays engaged and replays the acker XOR stream in bulk, with the same
-two-tier contract:
+The unacked equivalence contract (``tests/test_batch_equivalence.py``) holds
+under acking too: the stepper stays engaged and replays the acker XOR stream
+in bulk, and the vectorized tier is equivalent to the classic keyed kernel
+*modulo event-id assignment order*: identical emission/receipt times, replay
+counts, registered/failed totals and scaling decisions, with root identity
+mapped through emission order.  Anchor/ack/late-ack tallies are excluded
+from the equivalence class: they depend on the literal id *values* (whether
+a tree's running XOR hash happens to cross zero mid-stream), which is
+exactly the degree of freedom the modulo-ids contract gives up.  Where the
+sweep declines (loss, replay and migration windows), those ticks run on the
+classic per-event path.
 
-* **heap tier** (``batch_vectorize=False``) — *bit-exact* vs the classic
-  kernel: identical log digest, identical acker statistics (anchors, acks,
-  late acks, completions — including the early completions classic's
-  sequential event ids produce through coincidental XOR zero-crossings),
-  identical replay counts.  Real acker calls are interleaved at the exact
-  classic code points, spout throttling is re-checked per tick, and the
-  cascade horizon is clamped to ``now + ack timeout`` so no tree the stretch
-  registers can time out mid-stretch.
-* **vectorized tier** — equivalent *modulo event-id assignment order*:
-  identical emission/receipt times, replay counts, registered/failed totals
-  and scaling decisions, with root identity mapped through emission order.
-  Anchor/ack/late-ack tallies are excluded from the equivalence class: they
-  depend on the literal id *values* (whether a tree's running XOR hash
-  happens to cross zero mid-stream), which is exactly the degree of freedom
-  the modulo-ids contract gives up.
-
-Loss windows are where the tiers differ observably: which trees *fail* under
-a kill depends on which pending hashes had coincidentally collapsed — an id-
-value accident (see ``run_migration_experiment``'s docstring on Storm's
-ack-hash collision).  Strict replay-count identity through arbitrary loss is
-therefore the heap tier's guarantee; the vectorized tier pins it here under a
-targeted injected loss (an explicit ``acker.fail`` of a just-emitted root,
-positionally identical in every mode) and pins identical scaling decisions on
-a full DSM elastic run whose migrations lose in-flight messages.
+Loss windows are where id values become observable: which trees *fail*
+under a kill depends on which pending hashes had coincidentally collapsed —
+an id-value accident (see ``run_migration_experiment``'s docstring on
+Storm's ack-hash collision).  The vectorized tier therefore pins replay-count
+identity under a targeted injected loss (an explicit ``acker.fail`` of a
+just-emitted root, positionally identical in every mode) and pins identical
+scaling decisions on a full DSM elastic run whose migrations lose in-flight
+messages.
 """
 
 from __future__ import annotations
@@ -41,7 +32,6 @@ from repro.elastic import ControllerConfig
 from repro.engine.runtime import TopologyRuntime
 from repro.experiments import run_elastic_experiment
 from repro.sim import Simulator
-from repro.metrics.log import log_digest
 from repro.workloads import StepProfile
 
 from tests.conftest import build_cluster, fast_config
@@ -49,7 +39,7 @@ from tests.test_batch_equivalence import fingerprint_modulo_ids
 
 
 # ------------------------------------------------------------------ builders
-def build_acked_grid(batch_stepping: bool, batch_vectorize: bool = True):
+def build_acked_grid(batch_stepping: bool):
     """A deployed Grid runtime with acking on (DSM reliability profile)."""
     reset_event_ids()
     sim = Simulator()
@@ -57,16 +47,14 @@ def build_acked_grid(batch_stepping: bool, batch_vectorize: bool = True):
     config = fast_config("dsm")
     config.keyed_network_jitter = True
     config.batch_stepping = batch_stepping
-    config.batch_vectorize = batch_vectorize
     runtime = TopologyRuntime(topologies.grid(), cluster, sim=sim, config=config)
     runtime.deploy()
     runtime.start()
     return sim, runtime
 
 
-def run_acked_windows(batch_stepping: bool, windows: int, step_s: float,
-                      batch_vectorize: bool = True):
-    sim, runtime = build_acked_grid(batch_stepping, batch_vectorize)
+def run_acked_windows(batch_stepping: bool, windows: int, step_s: float):
+    sim, runtime = build_acked_grid(batch_stepping)
     for _ in range(windows):
         sim.run(until=sim.now + step_s)
     return sim, runtime
@@ -100,16 +88,7 @@ WINDOW_IDS = ["cold-10s", "20x0.5s", "7x1.3s"]
 
 # ------------------------------------------------- grid: the acked matrix
 class TestAckedGridMatrix:
-    """Classic vs heap-tier batched vs vectorized on the acked Grid."""
-
-    @pytest.mark.parametrize("windows,step_s", WINDOWS, ids=WINDOW_IDS)
-    def test_heap_tier_bit_exact(self, windows, step_s):
-        _, classic = run_acked_windows(False, windows, step_s)
-        _, batched = run_acked_windows(True, windows, step_s, batch_vectorize=False)
-        assert log_digest(batched.log) == log_digest(classic.log)
-        assert vars(batched.acker.stats) == vars(classic.acker.stats)
-        assert replay_count(batched) == replay_count(classic)
-        assert batched.acker.pending_count == classic.acker.pending_count
+    """Classic vs vectorized batched on the acked Grid."""
 
     @pytest.mark.parametrize("windows,step_s", WINDOWS, ids=WINDOW_IDS)
     def test_vectorized_modulo_ids(self, windows, step_s):
@@ -143,14 +122,14 @@ class TestAckedInjectedLoss:
     """An explicit fail of a just-emitted root: one replay, every mode.
 
     The failed root is picked positionally (newest still-pending emission at
-    the injection time) so all three modes lose the *same* tuple, whatever
+    the injection time) so both modes lose the *same* tuple, whatever
     ids it carries; replay traffic then runs through the classic path (the
     scan declines replayed events) and the cascade re-engages after.
     """
 
     @staticmethod
-    def run_with_fail(batch_stepping: bool, batch_vectorize: bool = True):
-        sim, runtime = build_acked_grid(batch_stepping, batch_vectorize)
+    def run_with_fail(batch_stepping: bool):
+        sim, runtime = build_acked_grid(batch_stepping)
         injected = []
 
         def inject():
@@ -168,14 +147,10 @@ class TestAckedInjectedLoss:
 
     def test_replay_counts_identical_across_the_matrix(self):
         classic, lost_c = self.run_with_fail(False)
-        heap, lost_h = self.run_with_fail(True, batch_vectorize=False)
         vector, lost_v = self.run_with_fail(True)
-        assert lost_c == lost_h == lost_v == [3.0]
+        assert lost_c == lost_v == [3.0]
         assert replay_count(classic) > 0
-        assert replay_count(heap) == replay_count(classic)
         assert replay_count(vector) == replay_count(classic)
-        assert log_digest(heap.log) == log_digest(classic.log)
-        assert vars(heap.acker.stats) == vars(classic.acker.stats)
         assert acked_fingerprint(vector) == acked_fingerprint(classic)
         # Disengaged around the loss window, re-engaged after.
         assert vector.batch_stepper.vector_cascades >= 2
@@ -184,16 +159,14 @@ class TestAckedInjectedLoss:
 # --------------------------------------------------------------- elastic run
 class TestAckedElasticEquivalence:
     """Full DSM elastic run: migrations kill executors, losing in-flight
-    messages (the paper's fig. 6 replay source).  The heap tier must ride
-    through it bit-exactly — same digest, same acker statistics, same replay
-    count — and the vectorized tier must make the same scaling decisions."""
+    messages (the paper's fig. 6 replay source).  The vectorized tier must
+    make the same scaling decisions as the classic kernel."""
 
     @staticmethod
-    def run_elastic(batch_stepping: bool, batch_vectorize: bool = True):
+    def run_elastic(batch_stepping: bool):
         config = fast_config("dsm", seed=11)
         config.keyed_network_jitter = True
         config.batch_stepping = batch_stepping
-        config.batch_vectorize = batch_vectorize
         return run_elastic_experiment(
             dag="traffic",
             strategy="dsm",
@@ -223,12 +196,6 @@ class TestAckedElasticEquivalence:
         classic = self.run_elastic(False)
         assert self.actions_of(classic), "the surge must trigger scaling"
         assert self.replays_of(classic) > 0, "DSM migrations must replay"
-
-        heap = self.run_elastic(True, batch_vectorize=False)
-        assert self.actions_of(heap) == self.actions_of(classic)
-        assert self.replays_of(heap) == self.replays_of(classic)
-        assert log_digest(heap.log) == log_digest(classic.log)
-        assert vars(heap.runtime.acker.stats) == vars(classic.runtime.acker.stats)
 
         vector = self.run_elastic(True)
         assert self.actions_of(vector) == self.actions_of(classic)

@@ -1,18 +1,15 @@
 """Batched-kernel equivalence vs the classic event loop.
 
-The batch-stepping cascade (``RuntimeConfig.batch_stepping``) materializes
-whole steady-state stretches inside one kernel callback — vectorized over
-struct-of-arrays when numpy is available, through an inline per-event heap
-otherwise.  Its contract:
+The batch-stepping cascade (``RuntimeConfig.batch_stepping``) sweeps whole
+steady-state stretches inside one kernel callback, vectorized over
+struct-of-arrays.  Its contract: logs equivalent to the classic keyed kernel
+*modulo event-id assignment order* — identical emission/receipt times,
+sinks, latencies, executor counters and routed counts, with root identity
+mapped through emission order.  Where the sweep declines (a dataflow that is
+not vector-capable, a runtime that is not quiescent), the tick runs on the
+classic per-event path, so those stretches are the classic keyed run exactly.
 
-* **vectorized tier** — logs equivalent to the classic keyed kernel *modulo
-  event-id assignment order*: identical emission/receipt times, sinks,
-  latencies, executor counters and routed counts, with root identity mapped
-  through emission order;
-* **heap tier** (``batch_vectorize=False``) — logs *exactly* equal to the
-  classic keyed kernel, event ids included.
-
-These tests pin both tiers against the classic loop on the Grid DAG — cold
+These tests pin the sweep against the classic loop on the Grid DAG — cold
 runs and windowed runs whose window boundaries land mid-pipeline (exercising
 the in-flight ingestion path, where the vectorized sweep adopts queued
 deliveries and busy executors instead of declining) — and on a full
@@ -46,7 +43,7 @@ from tests.conftest import build_cluster, fast_config
 
 
 # ------------------------------------------------------------------ builders
-def build_grid(batch_stepping: bool, batch_vectorize: bool = True):
+def build_grid(batch_stepping: bool):
     """A deployed Grid runtime with the keyed-jitter timing model."""
     reset_event_ids()
     sim = Simulator()
@@ -54,17 +51,15 @@ def build_grid(batch_stepping: bool, batch_vectorize: bool = True):
     config = fast_config("dcr")
     config.keyed_network_jitter = True
     config.batch_stepping = batch_stepping
-    config.batch_vectorize = batch_vectorize
     runtime = TopologyRuntime(topologies.grid(), cluster, sim=sim, config=config)
     runtime.deploy()
     runtime.start()
     return sim, runtime
 
 
-def run_windows(batch_stepping: bool, windows: int, step_s: float,
-                batch_vectorize: bool = True):
+def run_windows(batch_stepping: bool, windows: int, step_s: float):
     """Run in fixed windows so boundaries land mid-pipeline (in-flight work)."""
-    sim, runtime = build_grid(batch_stepping, batch_vectorize)
+    sim, runtime = build_grid(batch_stepping)
     for _ in range(windows):
         sim.run(until=sim.now + step_s)
     return sim, runtime
@@ -97,20 +92,6 @@ def fingerprint_modulo_ids(runtime: TopologyRuntime):
     return emits, receipts, counters, runtime.router.routed_count
 
 
-def fingerprint_exact(runtime: TopologyRuntime):
-    """Every log record verbatim — ids included."""
-    log = runtime.log
-    return (
-        [tuple(vars_of(e)) for e in log.source_emits],
-        [tuple(vars_of(r)) for r in log.sink_receipts],
-        runtime.router.routed_count,
-    )
-
-
-def vars_of(record):
-    return [getattr(record, name) for name in record.__slots__]
-
-
 # ------------------------------------------------- grid: vectorized cascade
 class TestVectorizedEquivalence:
     """Vectorized batch stepping == classic keyed kernel, modulo event ids."""
@@ -141,20 +122,6 @@ class TestVectorizedEquivalence:
         assert stepper.vector_cascades >= 1
         # The steady-state stretch dominates: nearly all events bypass the heap.
         assert stepper.inline_events > 10 * len(runtime.log.source_emits)
-
-
-# ------------------------------------------------------ grid: heap fallback
-class TestHeapTierExactEquivalence:
-    """``batch_vectorize=False`` must match the classic kernel bit for bit."""
-
-    @pytest.mark.parametrize(
-        "windows,step_s", [(1, 10.0), (7, 1.3)], ids=["cold-10s", "7x1.3s"]
-    )
-    def test_grid_run_identical_including_event_ids(self, windows, step_s):
-        _, classic = run_windows(False, windows, step_s)
-        expected = fingerprint_exact(classic)
-        _, batched = run_windows(True, windows, step_s, batch_vectorize=False)
-        assert fingerprint_exact(batched) == expected
 
 
 # --------------------------------------------------------------- elastic run

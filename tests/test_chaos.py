@@ -47,6 +47,8 @@ from repro.reliability.repartition import PARTITIONED_STATE_KEY
 from repro.reliability.statestore import checkpoint_key
 from repro.sim import RandomSource, Simulator
 
+from tests.test_batch_equivalence import fingerprint_modulo_ids
+
 
 # --------------------------------------------------------------- satellite 1
 class TestRemoveVmGuard:
@@ -324,19 +326,17 @@ class TestChaosDeterminism:
 
 # --------------------------------------------------------------- satellite 6
 class TestBatchStepperUnderChaos:
-    def test_batch_stepping_disengages_around_faults(self):
-        # Batched (non-vectorized tier) and classic keyed kernels must log the
-        # same run bit-for-bit: the injected faults are cancellable timers the
-        # cascade horizon sees, so the stepper falls back around each fault.
+    @staticmethod
+    def run_pair(dag: str):
+        """The same CCR storm, batch-stepped and on the classic keyed kernel."""
         batched = RuntimeConfig.for_ccr()
         batched.keyed_network_jitter = True
         batched.batch_stepping = True
-        batched.batch_vectorize = False
         classic = RuntimeConfig.for_ccr()
         classic.keyed_network_jitter = True
-        results = [
+        return [
             run_chaos_run(
-                dag="grid-keyed",
+                dag=dag,
                 strategy="ccr",
                 mode="notice",
                 duration_s=360.0,
@@ -346,9 +346,27 @@ class TestBatchStepperUnderChaos:
             )
             for config in (batched, classic)
         ]
-        assert results[0].injector.records, "the storm must actually fire"
-        assert results[0].digest() == results[1].digest()
-        assert results[0].control_sequence() == results[1].control_sequence()
+
+    def test_batch_stepping_disengages_around_faults(self):
+        # ``grid-keyed`` is not vector-capable, so the stepper never cascades
+        # and the batched run is the classic keyed run bit for bit.
+        batched, classic = self.run_pair("grid-keyed")
+        assert batched.injector.records, "the storm must actually fire"
+        assert batched.runtime.batch_stepper.cascades == 0
+        assert batched.digest() == classic.digest()
+        assert batched.control_sequence() == classic.control_sequence()
+
+    def test_vectorized_tier_matches_classic_under_faults(self):
+        # On the vector-capable Grid the sweep carries the quiet stretches;
+        # the injected faults are cancellable timers the cascade horizon
+        # sees, so it falls back around each one and the run matches the
+        # classic keyed kernel modulo event ids.
+        batched, classic = self.run_pair("grid")
+        assert batched.injector.records, "the storm must actually fire"
+        assert batched.runtime.batch_stepper.vector_cascades > 0
+        assert fingerprint_modulo_ids(batched.runtime) == fingerprint_modulo_ids(
+            classic.runtime
+        )
 
 
 # ------------------------------------------------------- telemetry satellite

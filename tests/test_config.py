@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.engine.config import ReliabilityConfig, RuntimeConfig, TimingConfig
@@ -15,7 +17,6 @@ class TestReliabilityConfig:
         assert config.periodic_checkpoint_interval_s is None
         assert not config.capture_on_prepare
         assert config.max_spout_pending is not None
-        assert config.throttled_ticks_generate_backlog
 
     def test_dsm_factory_enables_acking_and_periodic_checkpoints(self):
         config = RuntimeConfig.for_dsm()
@@ -68,7 +69,20 @@ class TestRuntimeConfigCopy:
 
     def test_copy_preserves_values(self):
         original = RuntimeConfig.for_ccr(seed=11)
+        original.timing.quiesce_delay_s = 0.5
+        original.util_vm_role = "edge"
+        original.sink_batch_max = 7
+        original.keyed_network_jitter = True
+        original.batch_stepping = True
+        original.columnar_log = False
+        original.telemetry = True
+        # Every top-level field differs from its default, so a field that
+        # copy() dropped would show up as a reset below.
+        default = RuntimeConfig()
+        for spec in fields(RuntimeConfig):
+            assert getattr(original, spec.name) != getattr(default, spec.name), spec.name
         clone = original.copy()
+        assert clone == original
         assert clone.seed == 11
         assert clone.reliability.capture_on_prepare
         assert clone.util_vm_role == original.util_vm_role
